@@ -3,7 +3,9 @@
 All numeric output uses 17-significant-digit decimal formatting, so identical
 configurations reproduce byte-identical artifacts.
 
-Exit codes: 0 success, 1 campaign failures, 2 parse or validation errors.
+Exit codes: 0 success, 1 campaign failures, 2 parse or validation errors
+(including non-finite input), 3 internal invariant failures (a failed
+assertion or a geometric construction that ran out of admissible points).
 """
 from __future__ import annotations
 
@@ -16,7 +18,13 @@ import numpy as np
 
 from .funcspace import StepFunction
 from .geometry import GeometryContext
-from .modulus import Modulus, ray_convex_majorant, oscillation_profile, parabolic_convex_minorant
+from .modulus import (
+    ConstructionError,
+    Modulus,
+    oscillation_profile,
+    parabolic_convex_minorant,
+    ray_convex_majorant,
+)
 from .theorems import CAMPAIGNS, default_length_grid, run_campaign
 
 __all__ = ["main"]
@@ -94,8 +102,7 @@ def cmd_profile(args) -> int:
 def cmd_verify(args) -> int:
     seeds = parse_seeds(args.seeds)
     grid = default_length_grid(1.0, _check_grid(args.grid))
-    report = run_campaign(args.statement, seeds, grid,
-                          workers=args.workers, tolerance=args.tolerance)
+    report = run_campaign(args.statement, seeds, grid, tolerance=args.tolerance)
     print(report.table())
     if args.output:
         _write_text(args.output, report.to_json() + "\n")
@@ -184,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--tolerance", type=float, default=0.0,
                    help="extra slack added to the statement's built-in tolerance")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (capped by OSCILLIB_THREADS)")
     p.add_argument("--output", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 
@@ -221,6 +226,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ConstructionError) as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -44,6 +44,8 @@ class Interval:
     right: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.left, self.right, self.right - self.left)):
+            raise ValueError(f"interval needs finite ends and length, got [{self.left}, {self.right}]")
         if not (self.left < self.right):
             raise ValueError(f"interval needs left < right, got [{self.left}, {self.right}]")
 
@@ -73,6 +75,8 @@ class StepFunction:
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        if not all(math.isfinite(x) for x in bp + vals):
+            raise ValueError("breakpoints and values must be finite")
         if len(vals) != len(bp) + 1:
             raise ValueError(
                 f"need one value per piece: {len(bp)} breakpoints require "

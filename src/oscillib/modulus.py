@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -44,7 +43,13 @@ __all__ = [
 # by adjacent cut differences only; see `stationary_lengths`.
 _EXACT_ENUMERATION_MAX_PIECES = 128
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Margin refinement: up to this many local minima are refined at once.  Each
+# round samples the interior section points of every bracket in one kernel
+# call and keeps the two cells around the best point, so a bracket shrinks by
+# 2/(points+1) per round: (2/9)**16 is about 3e-11 of the starting bracket.
+_REFINE_MAX_BRACKETS = 16
+_REFINE_POINTS = 8
+_REFINE_ROUNDS = 16
 
 
 class ConstructionError(RuntimeError):
@@ -74,6 +79,10 @@ class Modulus:
     sample_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        numbers = (self.horizon, self.alpha, self.scale, self.slope,
+                   *(self.grid or ()), *(self.sample_values or ()))
+        if not all(math.isfinite(x) for x in numbers if x is not None):
+            raise ValueError("modulus parameters must be finite")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.kind == "power":
@@ -123,10 +132,6 @@ class Modulus:
         return cls(horizon=g[-1], kind="sampled", grid=g, sample_values=v)
 
     # -- evaluation ---------------------------------------------------------
-
-    @property
-    def has_closed_form_derivative(self) -> bool:
-        return self.kind in ("power", "linear")
 
     def eval(self, t):
         """Evaluate the modulus at t (scalar or array), t in [0, T]."""
@@ -230,16 +235,10 @@ class _SigmaEvaluator:
     """Cached prefix data for repeated window-variance suprema on one function."""
 
     def __init__(self, sf: StepFunction):
-        self.sf = sf
         self.c, self.P, self.Q = _prefix_integrals(sf)
         self.v = np.asarray(sf.values)
         self.w = self.v * self.v
         self.total = sf.domain.length
-        self._c_list = self.c.tolist()
-        self._P_list = self.P.tolist()
-        self._Q_list = self.Q.tolist()
-        self._v_list = list(sf.values)
-        self._w_list = [x * x for x in sf.values]
 
     def batch(self, lengths) -> tuple[np.ndarray, np.ndarray]:
         """(variance_sup, witness_left) at each exact window length."""
@@ -304,51 +303,6 @@ class _SigmaEvaluator:
         wit_left = flat_s[rows, best]
         return sup, wit_left
 
-    def single(self, ell: float) -> float:
-        """Scalar variance supremum at one exact length (no array overhead)."""
-        c, P, Q, v, w = self._c_list, self._P_list, self._Q_list, self._v_list, self._w_list
-        n = len(v)
-        t0 = c[0]
-        ell = min(float(ell), self.total)
-        smax = c[-1] - ell
-        ev = {t0, smax}
-        for x in c:
-            if t0 < x < smax:
-                ev.add(x)
-            y = x - ell
-            if t0 < y < smax:
-                ev.add(y)
-        events = sorted(ev)
-        best = 0.0
-        for k in range(max(len(events) - 1, 1)):
-            a = events[k]
-            b = events[k + 1] if k + 1 < len(events) else a
-            mid = 0.5 * (a + b)
-            i = min(max(bisect_right(c, mid) - 1, 0), n - 1)
-            j = min(max(bisect_right(c, mid + ell) - 1, 0), n - 1)
-            if i == j:
-                continue
-            vi, vj = v[i], v[j]
-            dv = vj - vi
-            dw = w[j] - w[i]
-            M0 = P[j] - P[i] + vj * (ell - c[j]) + vi * c[i]
-            Q0 = Q[j] - Q[i] + w[j] * (ell - c[j]) + w[i] * c[i]
-
-            def var_at(s: float) -> float:
-                m = M0 + dv * s
-                q = Q0 + dw * s
-                return q / ell - (m / ell) ** 2
-
-            best = max(best, var_at(a), var_at(b))
-            if dv != 0.0:
-                s_star = (ell * (vi + vj) / 2.0 - M0) / dv
-                if a <= s_star <= b:
-                    best = max(best, var_at(s_star))
-        return best
-
-    def sigma_single(self, ell: float) -> float:
-        return math.sqrt(self.single(ell))
-
 
 def sup_variance_at_lengths(sf: StepFunction, lengths) -> tuple[np.ndarray, np.ndarray]:
     """Exact sup of window variance at each exact window length.
@@ -360,7 +314,7 @@ def sup_variance_at_lengths(sf: StepFunction, lengths) -> tuple[np.ndarray, np.n
     return _SigmaEvaluator(sf).batch(lengths)
 
 
-def stationary_lengths(sf: StepFunction, exact: bool | None = None) -> np.ndarray:
+def stationary_lengths(sf: StepFunction) -> np.ndarray:
     """Window lengths at which the variance supremum can peak strictly inside.
 
     An interior local maximum of the window variance pins each endpoint either
@@ -369,18 +323,16 @@ def stationary_lengths(sf: StepFunction, exact: bool | None = None) -> np.ndarra
     (cut, piece) pair.  Together with pairwise cut differences these lengths
     make the running supremum over lengths exact.
 
-    With ``exact=False`` (automatic above 128 pieces) only adjacent cut
-    differences are produced, which keeps huge staircases cheap.
+    Above 128 pieces only adjacent cut differences are produced, which keeps
+    huge staircases cheap.
     """
     c, P, Q = _prefix_integrals(sf)
     v = np.asarray(sf.values)
     w = v * v
     n = len(v)
     total = sf.domain.length
-    if exact is None:
-        exact = n <= _EXACT_ENUMERATION_MAX_PIECES
 
-    if not exact:
+    if n > _EXACT_ENUMERATION_MAX_PIECES:
         out = np.diff(c)
         return np.unique(out[out > 0])
 
@@ -429,18 +381,11 @@ def _running_supremum(cand: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, np
     return running, achieved
 
 
-def oscillation_profile(
-    sf: StepFunction,
-    lengths,
-    extra_lengths=None,
-    exact: bool | None = None,
-) -> OscillationProfile:
+def oscillation_profile(sf: StepFunction, lengths) -> OscillationProfile:
     """Oscillation modulus of ``sf`` sampled on the given length grid.
 
     The sup over windows of length at most t is taken over an exact candidate
-    set: the requested grid, all stationary lengths of ``sf``, and any
-    ``extra_lengths`` (e.g. the stationary lengths of a second function when
-    two profiles must share one configuration).
+    set: the requested grid and all stationary lengths of ``sf``.
     """
     grid = np.asarray(lengths, dtype=float)
     total = sf.domain.length
@@ -450,11 +395,7 @@ def oscillation_profile(
         raise ValueError(f"length grid must lie in (0, {total}]")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("length grid must be strictly increasing")
-    pieces = [grid, stationary_lengths(sf, exact=exact)]
-    if extra_lengths is not None:
-        ex = np.asarray(extra_lengths, dtype=float)
-        pieces.append(ex[(ex > 0) & (ex <= total)])
-    cand = np.unique(np.concatenate(pieces))
+    cand = np.unique(np.concatenate([grid, stationary_lengths(sf)]))
     cand = np.minimum(cand, total)
 
     sup, wit_left = sup_variance_at_lengths(sf, cand)
@@ -477,50 +418,57 @@ def oscillation_profile(
 # Membership against a prescribed modulus
 
 
-def _golden_extremum(f: Callable[[float], float], a: float, b: float, iters: int = 45) -> tuple[float, float]:
-    """Golden-section minimizer of f on [a, b]; returns (argmin, min)."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+def _check_lengths(sf: StepFunction, lengths) -> np.ndarray:
+    """Sorted distinct check lengths in (0, |domain|].
 
-
-def _default_check_lengths(sf: StepFunction) -> np.ndarray:
+    By default: a geometric and a uniform grid plus the stationary lengths.
+    """
     total = sf.domain.length
-    geo = np.geomspace(total * 1e-4, total, 129)
-    lin = np.linspace(total / 128.0, total, 128)
-    return np.unique(np.concatenate([geo, lin, stationary_lengths(sf)]))
+    if lengths is None:
+        cand = np.concatenate([
+            np.geomspace(total * 1e-4, total, 129),
+            np.linspace(total / 128.0, total, 128),
+            stationary_lengths(sf),
+        ])
+    else:
+        cand = np.asarray(lengths, dtype=float)
+    cand = np.unique(cand[(cand > 0) & (cand <= total * (1 + 1e-12))])
+    if cand.size == 0:
+        raise ValueError("no admissible lengths to check")
+    return np.minimum(cand, total)
 
 
 def _refine_local_minima(
     values: np.ndarray,
     cand: np.ndarray,
-    objective: Callable[[float], float],
-    max_brackets: int = 16,
-    iters: int = 48,
+    objective: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[float, float]:
-    """Golden-refine every interior local minimum of the sampled objective.
+    """Section-search the deepest interior local minima of the sampled objective.
 
-    Returns the (argmin, min) over all refined brackets; the caller still owns
-    the grid minimum itself.
+    ``objective`` maps an array of lengths to objective values; every round
+    evaluates all brackets in one call.  Returns the (argmin, min) over all
+    refined brackets; the caller still owns the grid minimum itself.
     """
     interior = np.where((values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:]))[0] + 1
-    order = interior[np.argsort(values[interior])][:max_brackets]
-    best_x, best_f = float("nan"), np.inf
-    for k in order:
-        x, fx = _golden_extremum(objective, float(cand[k - 1]), float(cand[k + 1]), iters)
-        if fx < best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
+    order = interior[np.argsort(values[interior])][:_REFINE_MAX_BRACKETS]
+    if order.size == 0:
+        return float("nan"), np.inf
+    lo, hi = cand[order - 1], cand[order + 1]
+    best_x = np.full(order.size, np.nan)
+    best_f = np.full(order.size, np.inf)
+    rows = np.arange(order.size)
+    offsets = np.arange(1, _REFINE_POINTS + 1)
+    for _ in range(_REFINE_ROUNDS):
+        cell = (hi - lo) / (_REFINE_POINTS + 1)
+        x = lo[:, None] + cell[:, None] * offsets
+        f = objective(x.ravel()).reshape(x.shape)
+        k = np.argmin(f, axis=1)
+        better = f[rows, k] < best_f
+        best_x = np.where(better, x[rows, k], best_x)
+        best_f = np.where(better, f[rows, k], best_f)
+        lo, hi = best_x - cell, best_x + cell
+    k = int(np.argmin(best_f))
+    return float(best_x[k]), float(best_f[k])
 
 
 def norm_bound_check(
@@ -534,41 +482,29 @@ def norm_bound_check(
     """Check variance over every window J against bound**2 * xi(|J|)**2.
 
     The margin at a length is bound*xi - sup-deviation; the check runs over an
-    exact candidate length set and golden-section refines the local margin
-    minima before reporting.
+    exact candidate length set and refines the local margin minima, batched
+    through the window-variance kernel, before reporting.
     """
     total = sf.domain.length
     if xi.horizon < total * (1 - 1e-12):
         raise ValueError(f"modulus horizon {xi.horizon} smaller than domain length {total}")
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    cand = np.asarray(lengths, dtype=float) if lengths is not None else _default_check_lengths(sf)
-    cand = np.unique(cand[(cand > 0) & (cand <= total * (1 + 1e-12))])
-    cand = np.minimum(cand, total)
-    if cand.size == 0:
-        raise ValueError("no admissible lengths to check")
-
+    cand = _check_lengths(sf, lengths)
     ev = _SigmaEvaluator(sf)
-    sup, wit_left = ev.batch(cand)
-    sigma = np.sqrt(sup)
-    margins = bound * np.asarray(xi.eval(cand)) - sigma
 
-    worst_idx = int(np.argmin(margins))
-    worst = float(margins[worst_idx])
-    worst_len = float(cand[worst_idx])
-    worst_window = (float(wit_left[worst_idx]), float(wit_left[worst_idx] + cand[worst_idx]))
+    def margins_at(ell) -> tuple[np.ndarray, np.ndarray]:
+        sup, wit_left = ev.batch(ell)
+        return bound * np.asarray(xi.eval(ell)) - np.sqrt(sup), wit_left
 
-    if refine and len(cand) >= 3:
-
-        def margin_at(ell: float) -> float:
-            return bound * xi.eval(ell) - ev.sigma_single(ell)
-
-        x, fx = _refine_local_minima(margins, cand, margin_at)
+    margins, wit_left = margins_at(cand)
+    k = int(np.argmin(margins))
+    worst, worst_len, worst_left = float(margins[k]), float(cand[k]), float(wit_left[k])
+    if refine:
+        x, fx = _refine_local_minima(margins, cand, lambda ell: margins_at(ell)[0])
         if fx < worst:
-            worst = float(fx)
-            worst_len = float(x)
-            _, wl = ev.batch([x])
-            worst_window = (float(wl[0]), float(wl[0] + x))
+            worst, worst_len = fx, x
+            worst_left = float(ev.batch([x])[1][0])
 
     failures = int(np.count_nonzero(margins < -tolerance))
     if failures == 0 and worst < -tolerance:
@@ -581,8 +517,8 @@ def norm_bound_check(
         tolerance=float(tolerance),
         witness={
             "length": worst_len,
-            "window_left": worst_window[0],
-            "window_right": worst_window[1],
+            "window_left": worst_left,
+            "window_right": worst_left + worst_len,
         },
     )
 
@@ -594,27 +530,18 @@ def worst_ratio(sf: StepFunction, xi: Modulus, lengths=None, refine: bool = True
     ``xi`` on the checked scales; dividing the deviation of ``sf`` from its
     mean by it normalizes the class constant to one.
     """
-    total = sf.domain.length
-    cand = np.asarray(lengths, dtype=float) if lengths is not None else _default_check_lengths(sf)
-    cand = np.unique(cand[(cand > 0) & (cand <= total * (1 + 1e-12))])
-    cand = np.minimum(cand, total)
+    cand = _check_lengths(sf, lengths)
     ev = _SigmaEvaluator(sf)
-    sup, _ = ev.batch(cand)
-    sigma = np.sqrt(sup)
-    xs = np.asarray(xi.eval(cand))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(xs > 0, sigma / xs, 0.0)
+
+    def ratios_at(ell) -> np.ndarray:
+        xs = np.asarray(xi.eval(ell))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(xs > 0, np.sqrt(ev.batch(ell)[0]) / xs, 0.0)
+
+    ratios = ratios_at(cand)
     best = float(np.max(ratios))
-
-    if refine and len(cand) >= 3:
-
-        def neg_ratio(ell: float) -> float:
-            x = xi.eval(ell)
-            if x <= 0:
-                return 0.0
-            return -ev.sigma_single(ell) / x
-
-        _, fx = _refine_local_minima(-ratios, cand, neg_ratio)
+    if refine:
+        _, fx = _refine_local_minima(-ratios, cand, lambda ell: -ratios_at(ell))
         best = max(best, -fx)
     return best
 

@@ -12,8 +12,6 @@ same way.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,45 +60,25 @@ def default_length_grid(total: float = 1.0, points: int = 128) -> np.ndarray:
     return np.linspace(total / points, total, points)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    eff = workers if workers and workers > 0 else 1
-    cap = os.environ.get("OSCILLIB_THREADS")
-    if cap:
-        try:
-            eff = max(1, min(eff, int(cap)))
-        except ValueError:
-            pass
-    return eff
-
-
 def _run_campaign(
     name: str,
     seeds: Sequence[int],
     trial: Callable[[int], tuple[float, dict] | None],
-    workers: int | None = None,
     tolerance: float = 0.0,
 ) -> VerificationReport:
-    """Run one margin-producing trial per seed and reduce deterministically.
-
-    The reduction (min margin, earliest witness among ties) is associative and
-    order-independent, so worker count never changes the report.
-    """
+    """Run one margin-producing trial per seed and reduce deterministically
+    (min margin, earliest witness among ties)."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("campaign needs a non-empty seed list")
-    eff = _resolve_workers(workers)
-    if eff > 1:
-        with ThreadPoolExecutor(max_workers=eff) as pool:
-            results = list(pool.map(trial, seeds))
-    else:
-        results = [trial(s) for s in seeds]
 
     worst = np.inf
     witness: dict = {}
     failures = 0
     skipped = 0
     trials = 0
-    for res in results:
+    for seed in seeds:
+        res = trial(seed)
         if res is None:
             skipped += 1
             continue
@@ -125,13 +103,8 @@ def _run_campaign(
 
 
 def _paired_profiles(sf: StepFunction, grid: np.ndarray):
-    """Profiles of a function and its rearrangement under one shared
-    candidate-length configuration, so neither side gets extra refinement."""
-    rearranged = decreasing_rearrangement(sf)
-    shared = np.concatenate([stationary_lengths(sf), stationary_lengths(rearranged)])
-    prof = oscillation_profile(sf, grid, extra_lengths=shared)
-    prof_star = oscillation_profile(rearranged, grid, extra_lengths=shared)
-    return prof, prof_star
+    """Exact profiles of a function and of its decreasing rearrangement."""
+    return oscillation_profile(sf, grid), oscillation_profile(decreasing_rearrangement(sf), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +116,6 @@ def verify_rearrangement(
     grid=None,
     pieces_max: int = 16,
     value_range: tuple[float, float] = (-1.0, 1.0),
-    workers: int | None = None,
     tolerance: float = 0.0,
 ) -> VerificationReport:
     """profile(rearranged) <= profile(original) * (1 + 1e-9) + 1e-12 on the grid."""
@@ -158,7 +130,7 @@ def verify_rearrangement(
         k = int(np.argmin(margins))
         return float(margins[k]), {"seed": int(seed), "length": float(grid[k])}
 
-    return _run_campaign("rearrangement", seeds, trial, workers, tolerance)
+    return _run_campaign("rearrangement", seeds, trial, tolerance)
 
 
 def verify_convexified(
@@ -166,7 +138,6 @@ def verify_convexified(
     grid=None,
     pieces_max: int = 12,
     value_range: tuple[float, float] = (-1.0, 1.0),
-    workers: int | None = None,
     tolerance: float = 0.0,
 ) -> VerificationReport:
     """profile(rearranged) <= parabolic convex minorant of profile(original),
@@ -186,7 +157,7 @@ def verify_convexified(
         k = int(np.argmin(margins))
         return float(margins[k]), {"seed": int(seed), "length": float(grid[k])}
 
-    return _run_campaign("convexified", seeds, trial, workers, tolerance)
+    return _run_campaign("convexified", seeds, trial, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +173,6 @@ def verify_monotone_convexity(
     grid=None,
     pieces_max: int = 12,
     value_range: tuple[float, float] = (-1.0, 1.0),
-    workers: int | None = None,
     tolerance: float = 0.0,
 ) -> VerificationReport:
     """For monotone functions, t^2 xi^2(t) and the anchored one-sided
@@ -241,7 +211,7 @@ def verify_monotone_convexity(
         worst = min(margins)
         return float(worst), {"seed": int(seed)}
 
-    return _run_campaign("monotone_convexity", seeds, trial, workers, tolerance)
+    return _run_campaign("monotone_convexity", seeds, trial, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +256,6 @@ def verify_cutout(
     grid=None,
     pieces_max: int = 12,
     value_range: tuple[float, float] = (-1.0, 1.0),
-    workers: int | None = None,
     tolerance: float = 0.0,
 ) -> VerificationReport:
     """Deleting the min- and max-value pieces of a unit-norm function leaves a
@@ -335,7 +304,7 @@ def verify_cutout(
             "length": float(check.witness["length"]),
         }
 
-    return _run_campaign("cutout", seeds, trial, workers, tolerance)
+    return _run_campaign("cutout", seeds, trial, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +316,6 @@ def verify_inf_bound(
     xi: Modulus | None = None,
     pieces_max: int = 16,
     value_range: tuple[float, float] = (-1.0, 1.0),
-    workers: int | None = None,
     tolerance: float = 0.0,
 ) -> VerificationReport:
     """min(f) <= solver offset at the whole-domain statistics, for unit-norm
@@ -366,7 +334,7 @@ def verify_inf_bound(
             margins.append(u + 1e-9 - min(cur.values))
         return float(min(margins)), {"seed": int(seed)}
 
-    return _run_campaign("inf_bound", seeds, trial, workers, tolerance)
+    return _run_campaign("inf_bound", seeds, trial, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +345,6 @@ def verify_dilation_invariance(
     seeds: Sequence[int],
     xi: Modulus | None = None,
     t: float = 1.0,
-    workers: int | None = None,
     tolerance: float = 0.0,
 ) -> VerificationReport:
     """Dilating a point with offset >= a from (a, a^2) by t/s keeps it below
@@ -401,7 +368,7 @@ def verify_dilation_invariance(
         margin = y1 * y1 + xi.eval(s) ** 2 + 1e-10 - y2
         return float(margin), {"seed": int(seed), "s": s, "a": a}
 
-    return _run_campaign("dilation", seeds, trial, workers, tolerance)
+    return _run_campaign("dilation", seeds, trial, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +436,13 @@ def linear_staircase(eps: float, pieces: int, domain: Interval = _DOMAIN) -> Ste
 # Registry for the command-line front end
 
 CAMPAIGNS = {
-    "rearrangement": lambda seeds, grid, workers, tol: verify_rearrangement(seeds, grid, workers=workers, tolerance=tol),
-    "convexified": lambda seeds, grid, workers, tol: verify_convexified(seeds, grid, workers=workers, tolerance=tol),
-    "monotone_convexity": lambda seeds, grid, workers, tol: verify_monotone_convexity(seeds, grid, workers=workers, tolerance=tol),
-    "cutout": lambda seeds, grid, workers, tol: verify_cutout(seeds, grid=grid, workers=workers, tolerance=tol),
-    "inf_bound": lambda seeds, grid, workers, tol: verify_inf_bound(seeds, workers=workers, tolerance=tol),
-    "dilation": lambda seeds, grid, workers, tol: verify_dilation_invariance(seeds, workers=workers, tolerance=tol),
-    "linear_threshold": lambda seeds, grid, workers, tol: verify_linear_threshold(1.0, grid=grid, tolerance=tol),
+    "rearrangement": lambda seeds, grid, tol: verify_rearrangement(seeds, grid, tolerance=tol),
+    "convexified": lambda seeds, grid, tol: verify_convexified(seeds, grid, tolerance=tol),
+    "monotone_convexity": lambda seeds, grid, tol: verify_monotone_convexity(seeds, grid, tolerance=tol),
+    "cutout": lambda seeds, grid, tol: verify_cutout(seeds, grid=grid, tolerance=tol),
+    "inf_bound": lambda seeds, grid, tol: verify_inf_bound(seeds, tolerance=tol),
+    "dilation": lambda seeds, grid, tol: verify_dilation_invariance(seeds, tolerance=tol),
+    "linear_threshold": lambda seeds, grid, tol: verify_linear_threshold(1.0, grid=grid, tolerance=tol),
 }
 
 
@@ -483,7 +450,6 @@ def run_campaign(
     name: str,
     seeds: Sequence[int],
     grid=None,
-    workers: int | None = None,
     tolerance: float = 0.0,
 ) -> VerificationReport:
     try:
@@ -492,4 +458,4 @@ def run_campaign(
         raise ValueError(
             f"unknown statement {name!r}; choose from {sorted(CAMPAIGNS)}"
         ) from None
-    return fn(seeds, grid, workers, tolerance)
+    return fn(seeds, grid, tolerance)

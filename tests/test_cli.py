@@ -133,6 +133,23 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert run_cli("profile", "--input", bad, "--grid", 16) == 2
 
 
+def test_exit_code_2_on_non_finite_input(tmp_path):
+    nan_values = tmp_path / "nan.json"
+    nan_values.write_text('{"domain": [0, 1], "breakpoints": [0.5], "values": [NaN, 1.0]}')
+    huge_domain = tmp_path / "huge.json"
+    huge_domain.write_text('{"domain": [0, 1e400], "breakpoints": [0.5], "values": [0.0, 1.0]}')
+    assert run_cli("profile", "--input", nan_values) == 2
+    assert run_cli("profile", "--input", huge_domain) == 2
+
+
+def test_exit_code_3_on_internal_invariant_failure(capsys):
+    code = run_cli("majorant", "--modulus", "power:0.5", "--t0", 0.01,
+                   "--delta", 10, "--grid", 1025)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_code_2_on_small_grid(step_file):
     assert run_cli("profile", "--input", step_file, "--grid", 4) == 2
 

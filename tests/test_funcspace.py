@@ -1,4 +1,6 @@
 """Tests for exact step-function statistics, rearrangement, truncation, cutout."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,21 @@ def test_interval_requires_positive_length():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+
+
+def test_interval_rejects_non_finite():
+    for left, right in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError):
+            Interval(left, right)
+
+
+def test_step_function_rejects_non_finite():
+    with pytest.raises(ValueError):
+        StepFunction(UNIT, (0.5,), (math.nan, 1.0))
+    with pytest.raises(ValueError):
+        StepFunction(UNIT, (0.5,), (1.0, -math.inf))
+    with pytest.raises(ValueError):
+        StepFunction(UNIT, (math.nan,), (1.0, 2.0))
 
 
 def test_step_function_validation():

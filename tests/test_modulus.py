@@ -14,8 +14,10 @@ from oscillib.modulus import (
     oscillation_profile,
     parabolic_convex_minorant,
     stationary_lengths,
+    sup_variance_at_lengths,
     worst_ratio,
 )
+from oscillib.theorems import default_length_grid
 
 UNIT = Interval(0.0, 1.0)
 GRID64 = np.linspace(1 / 64, 1.0, 64)
@@ -81,6 +83,20 @@ def test_sampled_modulus_validation():
         Modulus.sampled((0.1, 1.0), (0.0, 1.0))  # grid not from 0
     with pytest.raises(ValueError):
         Modulus.power(1.5)  # alpha beyond 1
+
+
+def test_modulus_rejects_non_finite():
+    bad = [
+        lambda: Modulus.power(0.5, horizon=math.nan),
+        lambda: Modulus.power(math.nan),
+        lambda: Modulus.power(0.5, scale=math.inf),
+        lambda: Modulus.linear(math.inf),
+        lambda: Modulus.sampled((0.0, 0.5, math.inf), (0.0, 0.5, 1.0)),
+        lambda: Modulus.sampled((0.0, 0.5, 1.0), (0.0, math.nan, 1.0)),
+    ]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_sampled_interpolation_and_derivative():
@@ -224,6 +240,28 @@ def test_profile_is_smallest_admissible_modulus():
         shrunk = Modulus.sampled(xi.grid, tuple(0.999 * v for v in xi.sample_values))
         rep2 = norm_bound_check(sf, shrunk, 1.0, lengths=GRID64, tolerance=1e-9, refine=False)
         assert rep2.failures > 0
+
+
+@pytest.mark.parametrize("seed", [6, 58, 149])
+def test_norm_check_refinement_reaches_dense_scan_minimum(seed):
+    # on this coarse grid the worst margin lies between two grid lengths
+    sf = random_step_function(seed, 8)
+    xi = Modulus.power(0.5)
+    lengths = default_length_grid(points=16)
+    coarse = norm_bound_check(sf, xi, 1.0, lengths=lengths, refine=False)
+    rep = norm_bound_check(sf, xi, 1.0, lengths=lengths)
+    assert rep.worst_margin <= coarse.worst_margin
+
+    dense = np.linspace(lengths[0], lengths[-1], 200_001)
+    dense_min = min(
+        float(np.min(np.asarray(xi.eval(chunk)) - np.sqrt(sup_variance_at_lengths(sf, chunk)[0])))
+        for chunk in np.array_split(dense, 20)
+    )
+    assert abs(rep.worst_margin - dense_min) <= 1e-9
+
+    wit = rep.witness
+    st = stats(sf, Interval(wit["window_left"], wit["window_right"]))
+    assert xi.eval(wit["length"]) - math.sqrt(st.variance) == pytest.approx(rep.worst_margin, abs=1e-12)
 
 
 def test_worst_ratio_matches_manual_ratio():
