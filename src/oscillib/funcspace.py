@@ -230,19 +230,22 @@ def decreasing_rearrangement(sf: StepFunction) -> StepFunction:
     """Non-increasing function on the same domain, equidistributed with ``sf``.
 
     Pieces are sorted by value descending; ties keep the original order, so the
-    output is deterministic.  The result is normalized.
+    output is deterministic.  A piece narrower than the rounding at its new
+    position merges into its neighbour.  The result is normalized.
     """
     widths = sf.piece_widths()
     order = sorted(range(sf.piece_count), key=lambda i: (-sf.values[i], i))
-    new_vals = [sf.values[i] for i in order]
-    new_widths = [float(widths[i]) for i in order]
-    bp = []
+    bp: list[float] = []
+    vals = [sf.values[order[0]]]
     pos = sf.domain.left
-    for w in new_widths[:-1]:
-        pos += w
-        bp.append(pos)
-    out = StepFunction(sf.domain, tuple(bp), tuple(new_vals))
-    return out.normalize()
+    for k, i in zip(order, order[1:]):
+        pos += float(widths[k])
+        if pos <= (bp[-1] if bp else sf.domain.left):
+            vals[-1] = sf.values[i]
+        elif pos < sf.domain.right:
+            bp.append(pos)
+            vals.append(sf.values[i])
+    return StepFunction(sf.domain, tuple(bp), tuple(vals)).normalize()
 
 
 def truncate(sf: StepFunction, lo: float, hi: float) -> StepFunction:

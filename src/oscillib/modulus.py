@@ -43,6 +43,10 @@ __all__ = [
 # by adjacent cut differences only; see `stationary_lengths`.
 _EXACT_ENUMERATION_MAX_PIECES = 128
 
+# The window-variance kernel evaluates its lengths in row blocks of about this
+# many span entries (2*(n+1) per length), which bounds its peak memory.
+_CHUNK_ELEMENTS = 1 << 16
+
 # Margin refinement: up to this many local minima are refined at once.  Each
 # round samples the interior section points of every bracket in one kernel
 # call and keeps the two cells around the best point, so a bracket shrinks by
@@ -247,6 +251,13 @@ class _SigmaEvaluator:
         if np.any(L <= 0) or np.any(L > total * (1 + 1e-12)):
             raise ValueError(f"window lengths must lie in (0, {total}]")
         L = np.minimum(L, total)
+        out = np.empty((2, len(L)))
+        block = max(1, _CHUNK_ELEMENTS // (2 * len(self.c)))
+        for k in range(0, len(L), block):
+            out[:, k:k + block] = self._block(L[k:k + block])
+        return out[0], out[1]
+
+    def _block(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, P, Q, v, w = self.c, self.P, self.Q, self.v, self.w
         n = len(v)
 
@@ -299,9 +310,7 @@ class _SigmaEvaluator:
         flat_s = cand_s.reshape(len(L), -1)
         best = np.argmax(flat_v, axis=1)
         rows = np.arange(len(L))
-        sup = np.maximum(flat_v[rows, best], 0.0)
-        wit_left = flat_s[rows, best]
-        return sup, wit_left
+        return np.maximum(flat_v[rows, best], 0.0), flat_s[rows, best]
 
 
 def sup_variance_at_lengths(sf: StepFunction, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -337,36 +346,23 @@ def stationary_lengths(sf: StepFunction) -> np.ndarray:
         return np.unique(out[out > 0])
 
     diffs = (c[None, :] - c[:, None]).ravel()
-    lengths = [diffs[diffs > 0]]
-
-    extra: list[float] = []
-    for k in range(n + 1):
-        x = c[k]
-        for p in range(n):
-            # window [x, x+l], right endpoint inside piece p; the window must
-            # straddle at least one cut, otherwise its variance is identically 0
-            if c[p] > x:
-                lo = c[p] - x
-                hi = c[p + 1] - x
-                alpha = P[p] - P[k] + v[p] * (x - c[p])
-                den = (Q[p] - Q[k] + w[p] * (x - c[p])) - 2.0 * alpha * v[p]
-                if den != 0.0:
-                    ell = 2.0 * alpha * alpha / den
-                    if lo < ell <= hi:
-                        extra.append(float(ell))
-            # window [x-l, x], left endpoint inside piece p
-            if c[p + 1] < x:
-                lo = x - c[p + 1]
-                hi = x - c[p]
-                alpha = P[k] - P[p] - v[p] * (x - c[p])
-                den = (Q[k] - Q[p] - w[p] * (x - c[p])) - 2.0 * alpha * v[p]
-                if den != 0.0:
-                    ell = 2.0 * alpha * alpha / den
-                    if lo < ell <= hi:
-                        extra.append(float(ell))
-    if extra:
-        lengths.append(np.asarray(extra))
-    out = np.unique(np.concatenate(lengths))
+    # row k anchors one endpoint at the cut x = c[k]; column p is the piece
+    # holding the other endpoint
+    x = c[:, None]
+    c_lo, c_hi, P_lo, Q_lo = c[:-1], c[1:], P[:-1], Q[:-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # window [x, x+l], right endpoint inside piece p; the window must
+        # straddle at least one cut, otherwise its variance is identically 0
+        alpha = P_lo - P[:, None] + v * (x - c_lo)
+        den = (Q_lo - Q[:, None] + w * (x - c_lo)) - 2.0 * alpha * v
+        ell = 2.0 * alpha * alpha / den
+        right = ell[(c_lo > x) & (den != 0.0) & (c_lo - x < ell) & (ell <= c_hi - x)]
+        # window [x-l, x], left endpoint inside piece p
+        alpha = P[:, None] - P_lo - v * (x - c_lo)
+        den = (Q[:, None] - Q_lo - w * (x - c_lo)) - 2.0 * alpha * v
+        ell = 2.0 * alpha * alpha / den
+        left = ell[(c_hi < x) & (den != 0.0) & (x - c_hi < ell) & (ell <= x - c_lo)]
+    out = np.unique(np.concatenate([diffs[diffs > 0], right, left]))
     return out[(out > 0) & (out <= total)]
 
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from oscillib.cli import main, parse_modulus, parse_seeds
+from oscillib.funcspace import StepFunction, distribution_measure
 
 
 def run_cli(*args):
@@ -53,6 +54,18 @@ def test_rearrange_monotone_is_normalized_input(tmp_path):
     assert run_cli("rearrange", "--input", src, "--output", out) == 0
     data = json.loads(out.read_text())
     assert data == {"domain": [0.0, 1.0], "breakpoints": [0.5], "values": [2.0, 1.0]}
+
+
+def test_rearrange_piece_below_rounding(tmp_path):
+    record = {"domain": [0, 1], "breakpoints": [1e-20, 0.5], "values": [0, 1, 2]}
+    src = tmp_path / "tiny.json"
+    src.write_text(json.dumps(record))
+    out = tmp_path / "out.json"
+    assert run_cli("rearrange", "--input", src, "--output", out) == 0
+    sf = StepFunction.from_json_dict(record)
+    result = StepFunction.from_json(out.read_text())
+    for lam in (-1.0, 0.0, 1.0, 2.0):
+        assert abs(distribution_measure(result, lam) - distribution_measure(sf, lam)) <= math.ulp(1.0)
 
 
 def test_profile_csv_shape(step_file, tmp_path):

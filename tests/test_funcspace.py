@@ -199,6 +199,21 @@ def test_rearrangement_idempotent():
         assert decreasing_rearrangement(once) == once
 
 
+@pytest.mark.parametrize("domain, breakpoints, values", [
+    ((0.0, 1.0), (1e-20, 0.5), (0.0, 1.0, 2.0)),   # lands on the right end
+    ((0.0, 1.0), (1e-20, 0.5), (1.0, 0.0, 2.0)),   # vanishes between two cuts
+    ((-1.0, 1.0), (1e-20, 2e-20), (0.0, 5.0, 1.0)),  # vanishes at the left end
+])
+def test_rearrangement_merges_piece_below_rounding(domain, breakpoints, values):
+    sf = StepFunction(Interval(*domain), breakpoints, values)
+    out = decreasing_rearrangement(sf)
+    assert all(a > b for a, b in zip(out.values, out.values[1:]))
+    for lam in set(values) | {min(values) - 1.0}:
+        assert abs(distribution_measure(out, lam) - distribution_measure(sf, lam)) <= math.ulp(
+            sf.domain.length
+        )
+
+
 def test_distribution_measure_examples():
     sf = StepFunction(UNIT, (0.5,), (1.0, 0.0))
     assert distribution_measure(sf, -1.0) == 1.0

@@ -1,12 +1,22 @@
 """Tests for moduli, oscillation profiles, convexification and majorants."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oscillib.funcspace import DomainError, Interval, StepFunction, random_step_function, stats
+from oscillib.funcspace import (
+    DomainError,
+    Interval,
+    StepFunction,
+    _prefix_integrals,
+    random_step_function,
+    stats,
+)
 from oscillib.modulus import (
+    _CHUNK_ELEMENTS,
     Modulus,
+    _SigmaEvaluator,
     check_companion_convex,
     ray_convex_majorant,
     mollified_majorant,
@@ -196,6 +206,77 @@ def test_stationary_lengths_cover_cut_differences():
     diffs = (cuts[None, :] - cuts[:, None]).ravel()
     for d in diffs[diffs > 0]:
         assert np.any(np.isclose(lengths, d, rtol=0, atol=1e-15))
+
+
+def pieces_exactly(seed: int, pieces: int) -> StepFunction:
+    rng = np.random.default_rng(seed)
+    bp = np.sort(rng.uniform(0.0, 1.0, pieces - 1))
+    return StepFunction(UNIT, tuple(bp), tuple(rng.uniform(-1.0, 1.0, pieces)))
+
+
+def stationary_lengths_reference(sf: StepFunction) -> np.ndarray:
+    """One (cut, piece) pair at a time: the loop `stationary_lengths` vectorises."""
+    c, P, Q = _prefix_integrals(sf)
+    v = np.asarray(sf.values)
+    w = v * v
+    diffs = (c[None, :] - c[:, None]).ravel()
+    extra: list[float] = []
+    for k in range(len(v) + 1):
+        x = c[k]
+        for p in range(len(v)):
+            if c[p] > x:
+                lo, hi = c[p] - x, c[p + 1] - x
+                alpha = P[p] - P[k] + v[p] * (x - c[p])
+                den = (Q[p] - Q[k] + w[p] * (x - c[p])) - 2.0 * alpha * v[p]
+                if den != 0.0:
+                    ell = 2.0 * alpha * alpha / den
+                    if lo < ell <= hi:
+                        extra.append(float(ell))
+            if c[p + 1] < x:
+                lo, hi = x - c[p + 1], x - c[p]
+                alpha = P[k] - P[p] - v[p] * (x - c[p])
+                den = (Q[k] - Q[p] - w[p] * (x - c[p])) - 2.0 * alpha * v[p]
+                if den != 0.0:
+                    ell = 2.0 * alpha * alpha / den
+                    if lo < ell <= hi:
+                        extra.append(float(ell))
+    out = np.unique(np.concatenate([diffs[diffs > 0], extra]))
+    return out[(out > 0) & (out <= sf.domain.length)]
+
+
+def test_stationary_lengths_match_loop_reference():
+    functions = [random_step_function(s, 16) for s in range(2001)]
+    functions += [pieces_exactly(s, n) for s in range(3) for n in (64, 128)]
+    for sf in functions:
+        assert np.array_equal(stationary_lengths(sf), stationary_lengths_reference(sf))
+
+
+def test_batch_blocks_match_single_length_calls():
+    sf = pieces_exactly(7, 128)
+    cand = np.unique(np.concatenate([default_length_grid(points=128), stationary_lengths(sf)]))
+    rows = _CHUNK_ELEMENTS // (2 * (sf.piece_count + 1))
+    assert len(cand) > 2 * rows and len(cand) % rows != 0
+    ev = _SigmaEvaluator(sf)
+    sup, wit_left = ev.batch(cand)
+    single = [ev.batch([ell]) for ell in cand]
+    assert np.array_equal(sup, np.concatenate([s for s, _ in single]))
+    assert np.array_equal(wit_left, np.concatenate([x for _, x in single]))
+
+
+def test_sup_variance_at_no_lengths():
+    sup, wit_left = sup_variance_at_lengths(random_step_function(3, 8), [])
+    assert sup.shape == (0,) and wit_left.shape == (0,)
+
+
+def test_profile_peak_memory_is_bounded():
+    sf = pieces_exactly(11, 128)
+    tracemalloc.start()
+    try:
+        oscillation_profile(sf, default_length_grid(points=128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 # ---------------------------------------------------------------------------
