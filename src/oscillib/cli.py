@@ -130,6 +130,8 @@ def cmd_geometry(args) -> int:
     lines = ["tau,gamma1,gamma2"]
     if args.t is not None:
         t = float(args.t)
+        if not (0.0 < t <= xi.horizon):
+            raise ValueError(f"--t must lie in (0, {xi.horizon}], got {t}")
         taus = np.linspace(0.0, t, n)
         for tau in taus:
             g = ctx.scaled_curve(t, float(tau))

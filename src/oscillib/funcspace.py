@@ -26,8 +26,8 @@ __all__ = [
     "random_step_function",
 ]
 
-# Guard below which a negative variance is attributed to rounding and clamped
-# (relative to the second-moment scale; prefix sums can lose a few more bits
+# Guard below which a negative centred variance is attributed to rounding and
+# clamped (centred values lie in [-1, 1]; prefix sums can lose a few more bits
 # than a single subtraction would).
 _VARIANCE_GUARD = 1e-12
 
@@ -175,14 +175,21 @@ class CutoutResult:
     transport: tuple[tuple[int, float], ...] = field(default=())
 
 
-def _prefix_integrals(sf: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cuts, prefix integral of the function, prefix integral of its square."""
+def _prefix_integrals(sf: StepFunction):
+    """Cuts, centred values ``u = (v - mid) / half`` in [-1, 1], prefix
+    integrals of ``u`` and ``u**2``, and ``mid``, ``half``.  Centring keeps
+    window variances clear of cancellation against a large mean (Chan, Golub
+    & LeVeque, Amer. Statist. 37(3), 1983); ``-sf`` centres to exactly ``-u``."""
     c = np.asarray(sf.cuts)
     v = np.asarray(sf.values)
+    lo, hi = float(v.min()), float(v.max())
+    mid = 0.5 * lo + 0.5 * hi
+    half = (0.5 * hi - 0.5 * lo) or 1.0
+    u = (v - mid) / half
     w = np.diff(c)
-    P = np.concatenate(([0.0], np.cumsum(v * w)))
-    Q = np.concatenate(([0.0], np.cumsum(v * v * w)))
-    return c, P, Q
+    P = np.concatenate(([0.0], np.cumsum(u * w)))
+    Q = np.concatenate(([0.0], np.cumsum(u * u * w)))
+    return c, u, P, Q, mid, half
 
 
 def _integral_upto(x: float, cuts: np.ndarray, values: Sequence[float], prefix: np.ndarray) -> float:
@@ -198,26 +205,26 @@ def stats(sf: StepFunction, window: Interval) -> IntervalStats:
             f"window [{window.left}, {window.right}] not inside domain "
             f"[{sf.domain.left}, {sf.domain.right}]"
         )
-    c, P, Q = _prefix_integrals(sf)
-    v = sf.values
-    w = [v_i * v_i for v_i in v]
+    c, u, P, Q, mid, half = _prefix_integrals(sf)
     length = window.length
-    left_piece = int(np.clip(np.searchsorted(c, window.left, side="right") - 1, 0, len(v) - 1))
-    right_piece = int(np.clip(np.searchsorted(c, window.right, side="left") - 1, 0, len(v) - 1))
+    left_piece = int(np.clip(np.searchsorted(c, window.left, side="right") - 1, 0, len(u) - 1))
+    right_piece = int(np.clip(np.searchsorted(c, window.right, side="left") - 1, 0, len(u) - 1))
     if left_piece == right_piece:
-        val = v[left_piece]
+        val = sf.values[left_piece]
         return IntervalStats(mean=val, second_moment=val * val, variance=0.0, length=length)
-    m = _integral_upto(window.right, c, v, P) - _integral_upto(window.left, c, v, P)
-    q = _integral_upto(window.right, c, w, Q) - _integral_upto(window.left, c, w, Q)
-    mean = m / length
-    second = q / length
-    variance = second - mean * mean
+    w = u * u
+    m = (_integral_upto(window.right, c, u, P) - _integral_upto(window.left, c, u, P)) / length
+    q = (_integral_upto(window.right, c, w, Q) - _integral_upto(window.left, c, w, Q)) / length
+    variance = q - m * m
     if variance < 0.0:
         # Analytically variance >= 0; anything below is rounding.
-        if variance < -_VARIANCE_GUARD * max(1.0, abs(second)):
+        if variance < -_VARIANCE_GUARD:
             raise AssertionError(f"variance {variance} below rounding guard")
         variance = 0.0
-    return IntervalStats(mean=mean, second_moment=second, variance=variance, length=length)
+    mean = mid + half * m
+    variance *= half * half
+    return IntervalStats(mean=mean, second_moment=mean * mean + variance, variance=variance,
+                         length=length)
 
 
 def distribution_measure(sf: StepFunction, level: float) -> float:

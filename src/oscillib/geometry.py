@@ -26,6 +26,9 @@ __all__ = [
 _CLAMP_REL = 1e-9
 _CLAMP_ABS = 1e-12
 
+# Rounding slack of the unit-ball membership check in `inf_bound`.
+_NORM_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class PlanePoint:
@@ -185,7 +188,7 @@ class GeometryContext:
 
     # -- the infimum bound --------------------------------------------------
 
-    def inf_bound(self, sf: StepFunction, norm_tolerance: float = 1e-9) -> float:
+    def inf_bound(self, sf: StepFunction) -> float:
         """Upper bound for the essential infimum of a unit-norm function.
 
         The function must satisfy the class bound with constant one (checked);
@@ -194,7 +197,7 @@ class GeometryContext:
         total = sf.domain.length
         if total > self.horizon * (1 + 1e-12):
             raise ValueError(f"domain length {total} exceeds the modulus horizon {self.horizon}")
-        check = norm_bound_check(sf, self.xi, 1.0, tolerance=norm_tolerance)
+        check = norm_bound_check(sf, self.xi, 1.0, tolerance=_NORM_TOLERANCE)
         if not check.passed:
             raise ValueError(
                 f"function is not in the unit ball: worst margin {check.worst_margin}"

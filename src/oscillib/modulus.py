@@ -236,12 +236,12 @@ class OscillationProfile:
 
 
 class _SigmaEvaluator:
-    """Cached prefix data for repeated window-variance suprema on one function."""
+    """Centred prefix data for repeated window-variance suprema on one function."""
 
     def __init__(self, sf: StepFunction):
-        self.c, self.P, self.Q = _prefix_integrals(sf)
-        self.v = np.asarray(sf.values)
+        self.c, self.v, self.P, self.Q, _, half = _prefix_integrals(sf)
         self.w = self.v * self.v
+        self.scale = half * half
         self.total = sf.domain.length
 
     def batch(self, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +255,7 @@ class _SigmaEvaluator:
         block = max(1, _CHUNK_ELEMENTS // (2 * len(self.c)))
         for k in range(0, len(L), block):
             out[:, k:k + block] = self._block(L[k:k + block])
-        return out[0], out[1]
+        return out[0] * self.scale, out[1]
 
     def _block(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, P, Q, v, w = self.c, self.P, self.Q, self.v, self.w
@@ -335,8 +335,7 @@ def stationary_lengths(sf: StepFunction) -> np.ndarray:
     Above 128 pieces only adjacent cut differences are produced, which keeps
     huge staircases cheap.
     """
-    c, P, Q = _prefix_integrals(sf)
-    v = np.asarray(sf.values)
+    c, v, P, Q, _, _ = _prefix_integrals(sf)
     w = v * v
     n = len(v)
     total = sf.domain.length
@@ -630,8 +629,8 @@ def ray_convex_majorant(xi: Modulus, t0: float, delta: float,
     T = xi.horizon
     if not (0.0 < t0 <= T):
         raise ValueError(f"t0 must lie in (0, {T}]")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (0.0 < delta < math.inf):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     if grid_points < 3:
         raise ValueError("need at least 3 grid points")
     step = T / (grid_points - 1)

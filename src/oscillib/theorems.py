@@ -22,6 +22,7 @@ from .funcspace import (
     cutout,
     decreasing_rearrangement,
     random_step_function,
+    stats,
     _prefix_integrals,
 )
 from .geometry import GeometryContext
@@ -191,7 +192,7 @@ def verify_monotone_convexity(
         scale_a = max(float(np.max(np.abs(A))), float(grid[-1]) ** 2 * dev2)
         margin_a = float(np.min(_second_differences(A))) / scale_a + 1e-9
 
-        c, P, Q = _prefix_integrals(psi)
+        c, _, P, Q, _, half = _prefix_integrals(psi)
         rng = np.random.default_rng(seed + 0x5EED)
         margins = [margin_a]
         left, right = psi.domain.left, psi.domain.right
@@ -202,10 +203,11 @@ def verify_monotone_convexity(
                 ts = np.linspace(span / 64.0, span, 64)
                 hi = anchor + sign * ts
                 # F(t) = t * int psi^2 - (int psi)^2 over the one-sided window
-                # of length t from the anchor; abs restores orientation
+                # of length t from the anchor, from the centred integrals (F
+                # is shift-invariant); abs restores orientation
                 Pv = np.interp(hi, c, P) - np.interp(anchor, c, P)
                 Qv = np.interp(hi, c, Q) - np.interp(anchor, c, Q)
-                F = ts * np.abs(Qv) - Pv * Pv
+                F = half * half * (ts * np.abs(Qv) - Pv * Pv)
                 scale_f = max(float(np.max(np.abs(F))), span * span * dev2)
                 margins.append(float(np.min(_second_differences(F))) / scale_f + 1e-9)
         worst = min(margins)
@@ -218,36 +220,22 @@ def verify_monotone_convexity(
 # Cutout along extreme-value pieces preserves the unit ball
 
 
+def _scaled_deviations(sf: StepFunction, ratio: float) -> StepFunction:
+    """``sf`` with its deviations from the mean divided by ``ratio``."""
+    mean = float(np.dot(sf.piece_widths(), np.asarray(sf.values)) / sf.domain.length)
+    return StepFunction(sf.domain, sf.breakpoints,
+                        tuple(mean + (v - mean) / ratio for v in sf.values))
+
+
 def _normalized_to_unit_ball(sf: StepFunction, xi: Modulus) -> StepFunction | None:
     """Scale deviations from the mean so the class constant becomes one.
 
-    The ratio search and the membership check refine different objectives, so
-    after the initial scaling the membership check itself is used to polish
-    the constant until its margin is non-negative.
-    """
+    Window deviations scale with the deviations from the mean, so one rescale
+    by the worst ratio lands on the unit ball up to rounding."""
     ratio = worst_ratio(sf, xi)
     if ratio <= 0.0:
         return None
-    widths = sf.piece_widths()
-    mean = float(np.dot(widths, np.asarray(sf.values)) / sf.domain.length)
-
-    def scaled(r: float) -> StepFunction:
-        return StepFunction(sf.domain, sf.breakpoints,
-                            tuple(mean + (v - mean) / r for v in sf.values))
-
-    out = scaled(ratio)
-    for _ in range(4):
-        check = norm_bound_check(out, xi, 1.0)
-        if check.worst_margin >= 0.0:
-            break
-        ell = float(check.witness["length"])
-        xi_l = float(xi.eval(ell))
-        if xi_l <= 0.0:
-            break
-        # margin = xi - sigma  =>  the factor still to be divided out
-        ratio *= (xi_l - float(check.worst_margin)) / xi_l
-        out = scaled(ratio)
-    return out
+    return _scaled_deviations(sf, ratio)
 
 
 def verify_cutout(
@@ -276,10 +264,7 @@ def verify_cutout(
             ratio = float(np.max(np.asarray(prof.xi_values) / np.asarray(xi.eval(grid))))
         if ratio <= 0.0:
             return None
-        widths = base.piece_widths()
-        mean = float(np.dot(widths, np.asarray(base.values)) / base.domain.length)
-        sf = StepFunction(base.domain, base.breakpoints,
-                          tuple(mean + (v - mean) / ratio for v in base.values))
+        sf = _scaled_deviations(base, ratio)
         lo = min(sf.values)
         hi = max(sf.values)
         cuts = sf.cuts
@@ -319,7 +304,8 @@ def verify_inf_bound(
     tolerance: float = 0.0,
 ) -> VerificationReport:
     """min(f) <= solver offset at the whole-domain statistics, for unit-norm
-    functions; the mirrored statement is checked through -f."""
+    functions.  The class norm is even and the centred statistics are
+    sign-symmetric, so -f is checked through the mirrored statistics alone."""
     xi = xi or Modulus.power(0.5)
     ctx = GeometryContext(xi)
 
@@ -328,11 +314,11 @@ def verify_inf_bound(
         sf = _normalized_to_unit_ball(base, xi)
         if sf is None:
             sf = base  # constant: already in the unit ball, equality case
-        margins = []
-        for cur in (sf, StepFunction(sf.domain, sf.breakpoints, tuple(-v for v in sf.values))):
-            u = ctx.inf_bound(cur)
-            margins.append(u + 1e-9 - min(cur.values))
-        return float(min(margins)), {"seed": int(seed)}
+        u = ctx.inf_bound(sf)
+        st = stats(sf, sf.domain)
+        u_mirror = ctx.solve_tau_u(-st.mean, st.second_moment, sf.domain.length).u
+        margin = min(u + 1e-9 - min(sf.values), u_mirror + 1e-9 + max(sf.values))
+        return float(margin), {"seed": int(seed)}
 
     return _run_campaign("inf_bound", seeds, trial, tolerance)
 
@@ -452,6 +438,8 @@ def run_campaign(
     grid=None,
     tolerance: float = 0.0,
 ) -> VerificationReport:
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     try:
         fn = CAMPAIGNS[name]
     except KeyError:

@@ -78,6 +78,33 @@ def test_profile_csv_shape(step_file, tmp_path):
     assert all(a <= b + 1e-15 for a, b in zip(xi_vals, xi_vals[1:]))
 
 
+def test_profile_large_offset_matches_unshifted(tmp_path):
+    xi_columns = []
+    for values in ([100000001.0, 99999999.0, 100000000.5, 99999999.5], [1.0, -1.0, 0.5, -0.5]):
+        src = tmp_path / "f.json"
+        src.write_text(json.dumps({"domain": [0, 1], "breakpoints": [0.25, 0.5, 0.75], "values": values}))
+        out = tmp_path / "prof.csv"
+        assert run_cli("profile", "--input", src, "--grid", 8, "--output", out) == 0
+        xi_columns.append([float(l.split(",")[1]) for l in out.read_text().strip().splitlines()[1:]])
+    assert xi_columns[0] == pytest.approx(xi_columns[1], rel=1e-12, abs=0.0)
+    assert xi_columns[0][-1] == pytest.approx(1.0, rel=1e-12)  # the window [0, 0.5]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+def test_verify_rejects_bad_tolerance(tolerance):
+    assert run_cli("verify", "rearrangement", "--seeds", 760367782000543, "--tolerance", tolerance) == 2
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+def test_majorant_rejects_bad_delta(delta):
+    assert run_cli("majorant", "--modulus", "power:0.5", "--t0", 0.5, "--delta", delta) == 2
+
+
+@pytest.mark.parametrize("t", ["nan", "5", "0"])
+def test_geometry_rejects_scale_outside_horizon(t):
+    assert run_cli("geometry", "--modulus", "power:0.5", "--t", t) == 2
+
+
 def test_geometry_final_row_tangency(tmp_path):
     out = tmp_path / "curve.csv"
     assert run_cli("geometry", "--modulus", "power:0.5", "--t", 1, "--output", out) == 0

@@ -165,30 +165,35 @@ def test_profile_matches_brute_force_on_random_functions():
             assert xi_val == pytest.approx(oracle, abs=5e-3)
 
 
-@pytest.mark.parametrize("factor", [-2.0, 0.5, 3.0])
+@pytest.mark.parametrize("factor", [-2.0, 0.5, 3.0, 1e-150, 1e150])
 def test_profile_scale_covariance(factor):
     sf = random_step_function(21, 10)
     scaled = StepFunction(sf.domain, sf.breakpoints, tuple(factor * v for v in sf.values))
     p1 = np.asarray(oscillation_profile(sf, GRID64).xi_values)
     p2 = np.asarray(oscillation_profile(scaled, GRID64).xi_values)
-    assert np.allclose(p2, abs(factor) * p1, rtol=1e-12, atol=1e-14)
+    assert np.allclose(p2, abs(factor) * p1, rtol=1e-12, atol=0.0)
 
 
-def test_profile_shift_invariance():
+@pytest.mark.parametrize("offset", [2.75, 1e6, 1e8, 1e12])
+def test_profile_shift_invariance(offset):
     sf = random_step_function(22, 10)
-    shifted = StepFunction(sf.domain, sf.breakpoints, tuple(v + 2.75 for v in sf.values))
-    p1 = np.asarray(oscillation_profile(sf, GRID64).xi_values)
+    shifted = StepFunction(sf.domain, sf.breakpoints, tuple(v + offset for v in sf.values))
+    # (v + c) - c is exact (Sterbenz), so the two functions differ by exactly c
+    unshifted = StepFunction(sf.domain, sf.breakpoints, tuple(v - offset for v in shifted.values))
+    p1 = np.asarray(oscillation_profile(unshifted, GRID64).xi_values)
     p2 = np.asarray(oscillation_profile(shifted, GRID64).xi_values)
-    assert np.allclose(p2, p1, atol=1e-12)
+    assert np.allclose(p2, p1, rtol=1e-11, atol=0.0)
 
 
-def test_profile_witnesses_reproduce_values():
-    sf = random_step_function(33, 12)
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8, 1e10, 1e12])
+def test_profile_witnesses_reproduce_values(offset):
+    base = random_step_function(33, 12)
+    sf = StepFunction(base.domain, base.breakpoints, tuple(v + offset for v in base.values))
     prof = oscillation_profile(sf, GRID64)
     for t, xi_val, wit in zip(prof.lengths, prof.xi_values, prof.witnesses):
         assert wit.length <= t * (1 + 1e-12)
         recomputed = math.sqrt(stats(sf, wit).variance)
-        assert recomputed == pytest.approx(xi_val, rel=1e-9, abs=1e-12)
+        assert recomputed == pytest.approx(xi_val, rel=1e-12, abs=0.0)
 
 
 def test_profile_rejects_bad_grid():
@@ -216,8 +221,7 @@ def pieces_exactly(seed: int, pieces: int) -> StepFunction:
 
 def stationary_lengths_reference(sf: StepFunction) -> np.ndarray:
     """One (cut, piece) pair at a time: the loop `stationary_lengths` vectorises."""
-    c, P, Q = _prefix_integrals(sf)
-    v = np.asarray(sf.values)
+    c, v, P, Q, _, _ = _prefix_integrals(sf)
     w = v * v
     diffs = (c[None, :] - c[:, None]).ravel()
     extra: list[float] = []

@@ -17,6 +17,7 @@ from oscillib.funcspace import (
 from oscillib.geometry import GeometryContext
 from oscillib.modulus import Modulus, norm_bound_check, oscillation_profile
 from oscillib.theorems import (
+    _normalized_to_unit_ball,
     linear_staircase,
     run_campaign,
     verify_cutout,
@@ -40,6 +41,15 @@ def test_rearrangement_small_campaign_clean():
     assert rep.failures == 0
     assert rep.trials == 60
     assert rep.worst_margin >= 0.0
+
+
+@pytest.mark.parametrize(
+    "seed", [760367782000543, 1022000886, 1041000311, 4042000716, 4052000779])
+def test_rearrangement_large_mean_seeds(seed):
+    # margins of -2.7e-13 to -1.3e-11 at t = 1/128 while window variances came
+    # from uncentred prefix sums
+    rep = verify_rearrangement([seed])
+    assert rep.failures == 0
 
 
 def test_rearrangement_monotone_fixed_point():
@@ -206,6 +216,30 @@ def test_truncate_then_cutout_reproduces_rearranged_window():
 def test_inf_bound_small_campaign_clean():
     rep = verify_inf_bound(range(40))
     assert rep.failures == 0
+
+
+@pytest.mark.parametrize("xi", [Modulus.power(0.5), Modulus.linear(1.0)], ids=["power", "linear"])
+def test_normalized_function_premises(xi):
+    # the inf_bound campaign rescales once and checks membership of g only:
+    # the margin of g must sit at rounding level, and -g must mirror g exactly
+    ctx = GeometryContext(xi)
+    checked = 0
+    for seed in range(301):
+        g = _normalized_to_unit_ball(random_step_function(seed, 16), xi)
+        if g is None:
+            continue
+        neg = StepFunction(g.domain, g.breakpoints, tuple(-v for v in g.values))
+        check = norm_bound_check(g, xi, 1.0)
+        mirror = norm_bound_check(neg, xi, 1.0)
+        assert check.worst_margin >= -1e-12
+        assert (mirror.worst_margin, mirror.witness, mirror.trials) == (
+            check.worst_margin, check.witness, check.trials)
+        st, st_neg = stats(g, g.domain), stats(neg, neg.domain)
+        assert (st_neg.mean, st_neg.second_moment) == (-st.mean, st.second_moment)
+        mirrored = ctx.solve_tau_u(-st.mean, st.second_moment, g.domain.length).u
+        assert ctx.inf_bound(neg) == mirrored
+        checked += 1
+    assert checked > 250
 
 
 def test_inf_bound_constant_equality():
