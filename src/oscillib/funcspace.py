@@ -192,10 +192,20 @@ def _prefix_integrals(sf: StepFunction):
     return c, u, P, Q, mid, half
 
 
-def _integral_upto(x: float, cuts: np.ndarray, values: Sequence[float], prefix: np.ndarray) -> float:
-    """Integral of the (squared) function from the left domain end to x."""
-    k = int(np.clip(np.searchsorted(cuts, x, side="right") - 1, 0, len(values) - 1))
-    return float(prefix[k] + values[k] * (x - cuts[k]))
+def _window_moments(c, u, P, Q, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the centred values ``u`` over the windows
+    ``[left, right]`` (arrays), from the prefix integrals of
+    :func:`_prefix_integrals`.  A window inside one piece has variance 0."""
+    left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    n = len(u)
+    i = np.clip(np.searchsorted(c, left, side="right") - 1, 0, n - 1)
+    j = np.clip(np.searchsorted(c, right, side="right") - 1, 0, n - 1)
+    length = right - left
+    w = u * u
+    m = (P[j] + u[j] * (right - c[j]) - (P[i] + u[i] * (left - c[i]))) / length
+    q = (Q[j] + w[j] * (right - c[j]) - (Q[i] + w[i] * (left - c[i]))) / length
+    same_piece = np.searchsorted(c, right, side="left") - 1 == i
+    return m, np.where(same_piece, 0.0, q - m * m)
 
 
 def stats(sf: StepFunction, window: Interval) -> IntervalStats:
@@ -206,25 +216,16 @@ def stats(sf: StepFunction, window: Interval) -> IntervalStats:
             f"[{sf.domain.left}, {sf.domain.right}]"
         )
     c, u, P, Q, mid, half = _prefix_integrals(sf)
-    length = window.length
-    left_piece = int(np.clip(np.searchsorted(c, window.left, side="right") - 1, 0, len(u) - 1))
-    right_piece = int(np.clip(np.searchsorted(c, window.right, side="left") - 1, 0, len(u) - 1))
-    if left_piece == right_piece:
-        val = sf.values[left_piece]
-        return IntervalStats(mean=val, second_moment=val * val, variance=0.0, length=length)
-    w = u * u
-    m = (_integral_upto(window.right, c, u, P) - _integral_upto(window.left, c, u, P)) / length
-    q = (_integral_upto(window.right, c, w, Q) - _integral_upto(window.left, c, w, Q)) / length
-    variance = q - m * m
+    (m,), (variance,) = _window_moments(c, u, P, Q, [window.left], [window.right])
     if variance < 0.0:
         # Analytically variance >= 0; anything below is rounding.
         if variance < -_VARIANCE_GUARD:
             raise AssertionError(f"variance {variance} below rounding guard")
         variance = 0.0
-    mean = mid + half * m
-    variance *= half * half
+    mean = mid + half * float(m)
+    variance = float(variance) * half * half
     return IntervalStats(mean=mean, second_moment=mean * mean + variance, variance=variance,
-                         length=length)
+                         length=window.length)
 
 
 def distribution_measure(sf: StepFunction, level: float) -> float:

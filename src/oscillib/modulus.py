@@ -4,11 +4,12 @@ Covers the oscillation modulus of a step function, membership checks against a
 prescribed modulus, the parabolic convex minorant, the ray-built convex
 majorant, and multiplicatively mollified smooth majorants.
 
-The oscillation supremum is exact for step functions: at a fixed window length
-the variance is a concave quadratic of the window position on every span where
-the endpoint pieces stay fixed, and every length at which an interior maximum
-can occur is enumerated in closed form (cut differences plus anchored
-stationarity roots).  The only rounding is double arithmetic.
+The oscillation supremum is exact for step functions of any piece count n.
+Over windows of length at most t the variance peaks either at length exactly
+t, where it is a concave quadratic of the window position on every span with
+fixed endpoint pieces, or at one of O(n^2) windows found in closed form (cut
+pairs plus anchored stationarity roots).  So the window-variance kernel runs
+at the requested lengths only.  The only rounding is double arithmetic.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .funcspace import DomainError, Interval, StepFunction, _prefix_integrals
+from .funcspace import DomainError, Interval, StepFunction, _prefix_integrals, _window_moments
 from .report import VerificationReport
 
 __all__ = [
@@ -38,10 +39,6 @@ __all__ = [
     "ray_convex_majorant",
     "mollified_majorant",
 ]
-
-# Above this piece count the O(n^2) stationary-length enumeration is replaced
-# by adjacent cut differences only; see `stationary_lengths`.
-_EXACT_ENUMERATION_MAX_PIECES = 128
 
 # The window-variance kernel evaluates its lengths in row blocks of about this
 # many span entries (2*(n+1) per length), which bounds its peak memory.
@@ -324,27 +321,20 @@ def sup_variance_at_lengths(sf: StepFunction, lengths) -> tuple[np.ndarray, np.n
 
 
 def stationary_lengths(sf: StepFunction) -> np.ndarray:
-    """Window lengths at which the variance supremum can peak strictly inside.
+    """Windows at which the window variance can have a free local maximum.
 
-    An interior local maximum of the window variance pins each endpoint either
-    to a cut or to a point where the endpoint value matches the window
-    mean-plus-deviation condition; the latter yields one closed-form length per
-    (cut, piece) pair.  Together with pairwise cut differences these lengths
-    make the running supremum over lengths exact.
-
-    Above 128 pieces only adjacent cut differences are produced, which keeps
-    huge staircases cheap.
+    Returns one row ``(left, length)`` per window.  A free local maximum pins
+    each endpoint either to a cut or to a point where the endpoint value
+    matches the window mean-plus-deviation condition.  Both ends at cuts give
+    the cut pairs; one end at a cut gives, per (cut, piece) pair, one
+    anchored window whose other end solves that condition in closed form.
+    Critical points with both ends inside pieces lie on segments of constant
+    variance whose shorter end is an anchored window.
     """
     c, v, P, Q, _, _ = _prefix_integrals(sf)
     w = v * v
-    n = len(v)
-    total = sf.domain.length
-
-    if n > _EXACT_ENUMERATION_MAX_PIECES:
-        out = np.diff(c)
-        return np.unique(out[out > 0])
-
-    diffs = (c[None, :] - c[:, None]).ravel()
+    a, b = np.triu_indices(len(c), 1)
+    lefts, lengths = [c[a]], [c[b] - c[a]]
     # row k anchors one endpoint at the cut x = c[k]; column p is the piece
     # holding the other endpoint
     x = c[:, None]
@@ -355,17 +345,22 @@ def stationary_lengths(sf: StepFunction) -> np.ndarray:
         alpha = P_lo - P[:, None] + v * (x - c_lo)
         den = (Q_lo - Q[:, None] + w * (x - c_lo)) - 2.0 * alpha * v
         ell = 2.0 * alpha * alpha / den
-        right = ell[(c_lo > x) & (den != 0.0) & (c_lo - x < ell) & (ell <= c_hi - x)]
+        ok = (c_lo > x) & (den != 0.0) & (c_lo - x < ell) & (ell <= c_hi - x)
+        lefts.append(np.broadcast_to(x, ok.shape)[ok])
+        lengths.append(ell[ok])
         # window [x-l, x], left endpoint inside piece p
         alpha = P[:, None] - P_lo - v * (x - c_lo)
         den = (Q[:, None] - Q_lo - w * (x - c_lo)) - 2.0 * alpha * v
         ell = 2.0 * alpha * alpha / den
-        left = ell[(c_hi < x) & (den != 0.0) & (x - c_hi < ell) & (ell <= x - c_lo)]
-    out = np.unique(np.concatenate([diffs[diffs > 0], right, left]))
-    return out[(out > 0) & (out <= total)]
+        ok = (c_hi < x) & (den != 0.0) & (x - c_hi < ell) & (ell <= x - c_lo)
+        lefts.append((x - ell)[ok])
+        lengths.append(ell[ok])
+    left, length = np.concatenate(lefts), np.concatenate(lengths)
+    # x - l can round outside the domain
+    return np.column_stack([np.clip(left, c[0], c[-1] - length), length])
 
 
-def _running_supremum(cand: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _running_supremum(sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running max over sorted lengths plus the index where it was achieved."""
     running = np.maximum.accumulate(sup)
     is_new = np.empty(len(sup), dtype=bool)
@@ -379,8 +374,12 @@ def _running_supremum(cand: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, np
 def oscillation_profile(sf: StepFunction, lengths) -> OscillationProfile:
     """Oscillation modulus of ``sf`` sampled on the given length grid.
 
-    The sup over windows of length at most t is taken over an exact candidate
-    set: the requested grid and all stationary lengths of ``sf``.
+    The largest variance over windows of length at most t is attained either
+    at length exactly t (the window-variance kernel, run on the grid only) or
+    at a free local maximum, one of the windows of `stationary_lengths`.  So
+    xi(t)**2 is the larger of the kernel at t and the running maximum of those
+    windows' variances over lengths up to t.  Everything runs on the centred
+    values and is scaled by the half-spread once, at the end.
     """
     grid = np.asarray(lengths, dtype=float)
     total = sf.domain.length
@@ -390,22 +389,26 @@ def oscillation_profile(sf: StepFunction, lengths) -> OscillationProfile:
         raise ValueError(f"length grid must lie in (0, {total}]")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("length grid must be strictly increasing")
-    cand = np.unique(np.concatenate([grid, stationary_lengths(sf)]))
-    cand = np.minimum(cand, total)
+    c, u, P, Q, _, half = _prefix_integrals(sf)
+    at_grid = np.minimum(grid, total)
+    # variances of the centred values u: half**2 times them can overflow
+    sup, wit_left = sup_variance_at_lengths(StepFunction(sf.domain, sf.breakpoints, u), at_grid)
+    windows = stationary_lengths(sf)
+    cand = np.concatenate([at_grid, windows[:, 1]])
+    left = np.concatenate([wit_left, windows[:, 0]])
+    # left + length can round past the domain end
+    right = np.minimum(left + cand, c[-1])
+    _, var = _window_moments(c, u, P, Q, left[len(grid):], right[len(grid):])
 
-    sup, wit_left = sup_variance_at_lengths(sf, cand)
-    running, achieved = _running_supremum(cand, sup)
-
-    pos = np.searchsorted(cand, grid * (1 + 1e-15), side="right") - 1
-    xi = np.sqrt(running[pos])
-    witnesses = []
-    for p in pos:
-        k = achieved[p]
-        witnesses.append(Interval(float(wit_left[k]), float(wit_left[k] + cand[k])))
+    order = np.argsort(cand, kind="stable")
+    running, achieved = _running_supremum(np.concatenate([sup, np.maximum(var, 0.0)])[order])
+    pos = np.searchsorted(cand[order], grid * (1 + 1e-15), side="right") - 1
+    xi = half * np.sqrt(running[pos])
+    witnesses = tuple(Interval(float(left[k]), float(right[k])) for k in order[achieved[pos]])
     return OscillationProfile(
         lengths=tuple(float(t) for t in grid),
         xi_values=tuple(float(x) for x in xi),
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
     )
 
 
@@ -423,7 +426,7 @@ def _check_lengths(sf: StepFunction, lengths) -> np.ndarray:
         cand = np.concatenate([
             np.geomspace(total * 1e-4, total, 129),
             np.linspace(total / 128.0, total, 128),
-            stationary_lengths(sf),
+            stationary_lengths(sf)[:, 1],
         ])
     else:
         cand = np.asarray(lengths, dtype=float)

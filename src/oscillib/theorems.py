@@ -278,7 +278,7 @@ def verify_cutout(
         psi = cutout(sf, parts).function
         d = psi.domain.length
         floor = float(grid[0])
-        lengths = np.concatenate([grid[grid <= d], stationary_lengths(psi), [d]])
+        lengths = np.concatenate([grid[grid <= d], stationary_lengths(psi)[:, 1], [d]])
         lengths = lengths[lengths >= floor]
         if lengths.size == 0:
             return None

@@ -90,6 +90,15 @@ def test_profile_large_offset_matches_unshifted(tmp_path):
     assert xi_columns[0][-1] == pytest.approx(1.0, rel=1e-12)  # the window [0, 0.5]
 
 
+def test_profile_at_huge_value_scale_is_finite(tmp_path):
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"domain": [0, 1], "breakpoints": [0.5], "values": [1e160, -1e160]}))
+    out = tmp_path / "prof.csv"
+    assert run_cli("profile", "--input", src, "--grid", 8, "--output", out) == 0
+    xi_column = [float(l.split(",")[1]) for l in out.read_text().strip().splitlines()[1:]]
+    assert xi_column == pytest.approx([1e160] * 8, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
 def test_verify_rejects_bad_tolerance(tolerance):
     assert run_cli("verify", "rearrangement", "--seeds", 760367782000543, "--tolerance", tolerance) == 2
